@@ -6,11 +6,17 @@
 //! * **reverse replay** — the teacher-forced `log_prob_of_reassignment`
 //!   computed on every Metropolis–Hastings step, as one k-row batched
 //!   forward (engine) versus k sequential allocating batch-1 passes
-//!   (`Matrix::row_vector` + `Mlp::forward` + per-step mask `Vec` +
-//!   allocating `log_softmax_masked` — the seed implementation);
+//!   (`Matrix::row_vector` + the seed's per-layer allocating forward +
+//!   per-step mask `Vec` + allocating `log_softmax_masked` — the seed
+//!   implementation);
 //! * **training forward** — the teacher-forced feature chunk a
 //!   `ProposalTrainer` epoch consumes, as one multi-row forward versus
 //!   row-by-row batch-1 passes.
+//!
+//! It also reports, ungated, the rows/s of one full `Mlp::train_step`
+//! (forward, masked cross-entropy, backward, clip, Adam) at the deep
+//! trainer's shape: 8 configurations × k = 32 = 256 rows through a
+//! [15, 32, 32, 4] network, with its heap allocations per step.
 //!
 //! Asserts the batched log-probabilities are **bit-identical** to the
 //! batch-1 references, counts heap allocations per forward on both paths,
@@ -29,9 +35,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use dt_bench::{arg, print_csv, timed, HeaSystem};
 use dt_lattice::{Configuration, NeighborTable, SiteId, Species};
-use dt_nn::{log_softmax_masked, ForwardScratch, Matrix, Mlp};
+use dt_nn::{log_softmax_masked, Adam, ForwardScratch, Loss, Matrix, Mlp, TrainScratch};
 use dt_proposal::{
     DeepProposal, DeepProposalConfig, FeatureLayout, ProposalContext, ProposalKernel, ProposedMove,
+    TrainerConfig,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -73,6 +80,34 @@ fn allocations_in(f: impl FnOnce()) -> usize {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
+/// The seed implementation's allocating forward pass: a fresh `Matrix`
+/// per layer product and per activation, one k-ascending dot product per
+/// element. dt-nn's `Mlp::forward` now wraps the tiled engine, so the
+/// baseline this benchmark is gated against lives here.
+fn seed_forward(net: &Mlp, x: &Matrix) -> Matrix {
+    let mut h = x.clone();
+    let last = net.layers().len() - 1;
+    for (i, layer) in net.layers().iter().enumerate() {
+        let mut pre = Matrix::zeros(h.rows(), layer.out_dim());
+        for r in 0..h.rows() {
+            for j in 0..layer.out_dim() {
+                let mut acc = 0.0;
+                for (&a, &b) in h.row(r).iter().zip(layer.w.row(j)) {
+                    acc += a * b;
+                }
+                pre[(r, j)] = acc + layer.b[j];
+            }
+        }
+        let act = if i == last {
+            net.output_activation()
+        } else {
+            net.hidden_activation()
+        };
+        h = pre.map(|v| act.apply(v));
+    }
+    h
+}
+
 /// The seed implementation of teacher-forced replay: one allocating
 /// batch-1 forward per site.
 fn replay_batch1(
@@ -108,7 +143,7 @@ fn replay_batch1(
             k - step,
             step as f64 / k as f64,
         );
-        let logits = net.forward(&Matrix::row_vector(&feat));
+        let logits = seed_forward(net, &Matrix::row_vector(&feat));
         let mask: Vec<bool> = remaining.iter().map(|&r| r > 0).collect();
         let logp = log_softmax_masked(logits.row(0), Some(&mask));
         total += logp[target.index()];
@@ -233,10 +268,12 @@ fn main() {
     // Training-forward throughput: the teacher-forced feature chunk of a
     // trainer epoch, batch-1 versus one multi-row forward.
     let train_rows = pairs * k;
+    let m = layout.num_species;
     let mut chunk = vec![0.0; train_rows * dim];
+    let mut chunk_targets = Vec::with_capacity(train_rows);
+    let mut chunk_masks = Vec::with_capacity(train_rows * m);
     {
         // Teacher-forced features, identical construction to replay.
-        let m = layout.num_species;
         for (pair, (sites, targets)) in moves.iter().enumerate() {
             let mut work = config.species().to_vec();
             let mut decided = vec![true; config.num_sites()];
@@ -259,6 +296,8 @@ fn main() {
                     k - step,
                     step as f64 / k as f64,
                 );
+                chunk_targets.push(target.index());
+                chunk_masks.extend(remaining.iter().map(|&r| r > 0));
                 remaining[target.index()] -= 1;
                 work[site as usize] = target;
                 decided[site as usize] = true;
@@ -275,7 +314,7 @@ fn main() {
         let (_, sec) = timed(|| {
             for _ in 0..reps {
                 for row in chunk.chunks_exact(dim) {
-                    let out = net.forward(&Matrix::row_vector(row));
+                    let out = seed_forward(&net, &Matrix::row_vector(row));
                     sink2 += out.data()[0];
                 }
             }
@@ -292,6 +331,50 @@ fn main() {
     assert!(sink2.is_finite());
     let train_speedup = train_batched_rows_s / train_b1_rows_s;
 
+    // Training-step throughput at the deep trainer's shape (report only).
+    let trainer = TrainerConfig::default();
+    let step_rows = (trainer.configs_per_batch * k).min(train_rows);
+    let mut step_net = DeepProposal::new(
+        m,
+        2,
+        &DeepProposalConfig {
+            k,
+            hidden: vec![32, 32],
+        },
+        &mut rng,
+    )
+    .net()
+    .clone();
+    let mut adam = Adam::with_lr(trainer.lr);
+    let mut train_scratch = TrainScratch::for_mlp(&step_net, step_rows);
+    let step_loss = Loss::CrossEntropy {
+        targets: &chunk_targets[..step_rows],
+        masks: Some(&chunk_masks[..step_rows * m]),
+    };
+    let step_x = &chunk[..step_rows * dim];
+    let mut step = || {
+        step_net.train_step(
+            step_x,
+            step_rows,
+            &step_loss,
+            trainer.grad_clip,
+            &mut adam,
+            &mut train_scratch,
+        )
+    };
+    let mut sink3 = step(); // warm-up: Adam state
+    let allocs_per_step = allocations_in(|| sink3 += step());
+    let mut step_rows_s = 0.0f64;
+    for _ in 0..passes {
+        let (_, sec) = timed(|| {
+            for _ in 0..reps {
+                sink3 += step();
+            }
+        });
+        step_rows_s = step_rows_s.max((reps * step_rows) as f64 / sec);
+    }
+    assert!(sink3.is_finite());
+
     print_csv(
         "workload,batch1_rows_per_s,batched_rows_per_s,speedup,allocs_per_forward_batch1,allocs_per_forward_batched",
         &[
@@ -301,6 +384,7 @@ fn main() {
             format!(
                 "training_forward,{train_b1_rows_s:.0},{train_batched_rows_s:.0},{train_speedup:.2},,"
             ),
+            format!("training_step,,{step_rows_s:.0},,,{allocs_per_step}"),
         ],
     );
 
@@ -312,6 +396,7 @@ fn main() {
             "  \"fixture\": {{\"l\": {l}, \"k\": {k}, \"hidden\": [64, 64], \"pairs\": {pairs}, \"reps\": {reps}}},\n",
             "  \"reverse_replay\": {{\"batch1_rows_per_s\": {rb1:.1}, \"batched_rows_per_s\": {rb:.1}, \"speedup\": {rs:.3}}},\n",
             "  \"training_forward\": {{\"batch1_rows_per_s\": {tb1:.1}, \"batched_rows_per_s\": {tb:.1}, \"speedup\": {ts:.3}}},\n",
+            "  \"training_step\": {{\"rows\": {sr}, \"hidden\": [32, 32], \"rows_per_s\": {srs:.1}, \"allocs_per_step\": {sa}}},\n",
             "  \"allocs_per_forward\": {{\"batch1\": {ab1:.2}, \"batched\": {ab:.2}}},\n",
             "  \"avx\": {avx},\n",
             "  \"bit_identical\": true,\n",
@@ -329,6 +414,9 @@ fn main() {
         tb1 = train_b1_rows_s,
         tb = train_batched_rows_s,
         ts = train_speedup,
+        sr = step_rows,
+        srs = step_rows_s,
+        sa = allocs_per_step,
         ab1 = allocs_batch1,
         ab = allocs_batched,
         avx = avx,

@@ -478,21 +478,25 @@ mod tests {
 
     #[test]
     fn try_recv_is_nonblocking() {
+        // The barrier orders the events: rank 1 sends only after rank 0
+        // has polled, so the poll must find nothing and the blocking
+        // receive must get the one message, however the threads are
+        // scheduled.
         let results = ThreadCluster::run(2, |comm| {
             if comm.rank() == 0 {
                 let empty = comm.try_recv(1, 5);
+                comm.barrier().expect("barrier");
                 let msg = comm.recv_timeout(1, 5, Duration::from_secs(5));
                 (empty, msg)
             } else {
+                comm.barrier().expect("barrier");
                 comm.send(0, 5, vec![42]);
                 (Ok(None), Ok(vec![]))
             }
         });
         match &results[0] {
             (Ok(first), Ok(second)) => {
-                // First poll may or may not have seen the message yet
-                // (the peer races), but the blocking receive must get it.
-                assert!(first.is_none() || first.as_deref() == Some(&[42][..]));
+                assert_eq!(first, &None, "nothing was sent before the poll");
                 assert_eq!(second, &vec![42]);
             }
             other => panic!("unexpected {other:?}"),

@@ -1,11 +1,12 @@
-//! Batched, allocation-free inference.
+//! Batched, allocation-free forward kernels and the scratch buffers of
+//! the one NN engine.
 //!
-//! [`crate::Mlp::forward`] allocates a fresh [`Matrix`] per layer per
-//! call, which is fine for training but dominates the cost of the deep
-//! proposal's decode loop, where the network runs once per site per MC
-//! move. The **one inference surface** callers use is
+//! The **one inference surface** callers use is
 //! [`crate::Mlp::forward_into`] — batch-first (`rows ≥ 1`), fed from a
-//! [`ForwardScratch`]; everything below it is an internal layer:
+//! [`ForwardScratch`]. Training runs the same kernels: the forward half
+//! of [`crate::Mlp::train_step`] is this module's layer pass, writing
+//! each layer's output into a [`TrainScratch`] instead of ping-ponging.
+//! Everything below the two `Mlp` entry points is an internal layer:
 //!
 //! * [`ForwardScratch`] — a pair of ping-pong activation buffers reused
 //!   across forward passes. Buffers grow on first use (or when a larger
@@ -15,13 +16,13 @@
 //! * [`linear_forward_fused`] (doc-hidden) — a register-tiled `X · Wᵀ`
 //!   kernel with the bias add and activation fused into the store. Each
 //!   output element is accumulated in the **same sequential k-order** as
-//!   the naive [`Matrix::matmul_transpose_b`] path, so results are
-//!   bit-identical to [`crate::Mlp::forward`]; the speedup comes from
-//!   running several independent accumulator chains at once (the naive
-//!   dot product is latency-bound on the single accumulator) and from not
-//!   touching the allocator.
+//!   a naive dot product, from `+0.0`, with the bias added after the sum,
+//!   so results do not depend on the batch size or on which kernel ran;
+//!   the speedup comes from running several independent accumulator
+//!   chains at once (the naive dot product is latency-bound on the single
+//!   accumulator) and from not touching the allocator.
 //!
-//! Batching rules (see DESIGN.md, "Inference engine"): whenever every
+//! Batching rules (see DESIGN.md, "NN engine"): whenever every
 //! input row is known upfront — teacher-forced replay, reverse
 //! log-probabilities, surrogate batch prediction — build all rows and run
 //! one k-row pass through [`crate::Mlp::forward_into`]. Genuinely
@@ -87,6 +88,13 @@ impl ForwardScratch {
         if self.buf_b.len() < need {
             self.buf_b.resize(need, 0.0);
         }
+        if uses_packed(max_rows) {
+            self.reserve_packed(mlp);
+        }
+    }
+
+    /// Size the packed-weight buffer for `mlp`.
+    pub(crate) fn reserve_packed(&mut self, mlp: &Mlp) {
         let total_w: usize = mlp
             .layers()
             .iter()
@@ -99,14 +107,58 @@ impl ForwardScratch {
     }
 }
 
+/// Reusable buffers for [`Mlp::backprop`] and [`Mlp::train_step`].
+///
+/// * `fwd` — a [`ForwardScratch`]: the training forward runs the packed
+///   kernel over its packed weights (repacked once per optimizer step),
+///   and its two ping-pong buffers carry the backward gradient
+///   (`rows × widest layer`) from layer to layer.
+/// * `acts` — every layer's post-activation output, layer-major (layer
+///   `i` at `rows · Σ_{j<i} out_j`). Backward reads layer `i`'s input
+///   (layer `i − 1`'s output) for the weight gradient and its own output
+///   for the activation derivative, so no pre-activation is stored.
+///
+/// Like [`ForwardScratch`], the buffers grow to the largest batch seen
+/// and never shrink: once warmed, a training step is allocation-free.
+#[derive(Debug, Clone, Default)]
+pub struct TrainScratch {
+    pub(crate) fwd: ForwardScratch,
+    pub(crate) acts: Vec<f64>,
+}
+
+impl TrainScratch {
+    /// An empty scratch; buffers are grown on first use.
+    pub fn new() -> Self {
+        TrainScratch::default()
+    }
+
+    /// A scratch pre-sized for `max_rows`-row steps on `mlp`.
+    pub fn for_mlp(mlp: &Mlp, max_rows: usize) -> Self {
+        let mut scratch = TrainScratch::new();
+        scratch.reserve(mlp, max_rows);
+        scratch
+    }
+
+    /// Grow the buffers so `max_rows`-row steps on `mlp` need no further
+    /// allocation.
+    pub fn reserve(&mut self, mlp: &Mlp, max_rows: usize) {
+        self.fwd.reserve(mlp, max_rows);
+        self.fwd.reserve_packed(mlp);
+        let need = max_rows * mlp.layers().iter().map(|l| l.out_dim()).sum::<usize>();
+        if self.acts.len() < need {
+            self.acts.resize(need, 0.0);
+        }
+    }
+}
+
 /// Fused `out = act(x · wᵀ + bias)` over the first `rows` rows of `x`.
 ///
 /// `x` is row-major `rows × w.cols()`; `out` receives row-major
 /// `rows × w.rows()` (any tail beyond that is left untouched). The k-loop
-/// for each output element is sequential, matching the accumulation order
-/// of [`Matrix::matmul_transpose_b`] exactly, so this is bit-identical to
-/// the layer-by-layer reference path while the 2×4 register tile keeps
-/// 8 independent accumulator chains in flight.
+/// for each output element is sequential, matching a naive dot product's
+/// accumulation order exactly, so this is bit-identical to the
+/// layer-by-layer reference while the 2×4 register tile keeps 8
+/// independent accumulator chains in flight.
 ///
 /// Internal kernel of [`crate::Mlp::forward_into`]; call that instead.
 ///
@@ -222,9 +274,20 @@ pub fn linear_forward_fused(
 /// (two 128-bit lanes — a 2×8 tile spills there and runs slower).
 /// Compile-time only; results are bit-identical either way.
 #[cfg(target_feature = "avx")]
-const J_TILE: usize = 8;
+pub(crate) const J_TILE: usize = 8;
 #[cfg(not(target_feature = "avx"))]
-const J_TILE: usize = 4;
+pub(crate) const J_TILE: usize = 4;
+
+/// Whether a `rows`-row inference batch runs the packed kernel:
+/// multi-row batches on AVX targets. Without AVX the vector lanes are too
+/// narrow to beat the scalar tile's eight accumulator chains at the
+/// proposal's batch widths (2–16 rows), so inference keeps the scalar
+/// tile on baseline targets. Training always runs the packed kernel: at
+/// its hundreds of rows per step it is the faster of the two on either
+/// target.
+pub(crate) fn uses_packed(rows: usize) -> bool {
+    rows >= 2 && cfg!(target_feature = "avx")
+}
 
 /// Length of the packed buffer [`pack_weights_transposed`] needs for an
 /// `out_dim × in_dim` weight matrix: the column count rounded up to a
@@ -425,11 +488,20 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    /// Reference: naive matmul_t + broadcast bias + activation map.
+    /// Reference: naive k-ascending dot products, then bias, then the
+    /// activation.
     fn reference(x: &Matrix, w: &Matrix, bias: &[f64], act: Activation) -> Matrix {
-        let mut y = x.matmul_transpose_b(w);
-        y.add_row_broadcast(bias);
-        act.forward(&y)
+        let mut y = Matrix::zeros(x.rows(), w.rows());
+        for i in 0..x.rows() {
+            for j in 0..w.rows() {
+                let mut acc = 0.0;
+                for (&a, &b) in x.row(i).iter().zip(w.row(j)) {
+                    acc += a * b;
+                }
+                y[(i, j)] = act.apply(acc + bias[j]);
+            }
+        }
+        y
     }
 
     #[test]

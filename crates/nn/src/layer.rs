@@ -16,9 +16,8 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Apply the activation to one value. This is the scalar kernel both
-    /// [`Activation::forward`] and the fused inference path build on, so
-    /// the two are bit-identical by construction.
+    /// Apply the activation to one value: the scalar kernel every forward
+    /// path builds on.
     #[inline]
     pub fn apply(self, v: f64) -> f64 {
         match self {
@@ -34,35 +33,30 @@ impl Activation {
         }
     }
 
-    /// Apply the activation element-wise.
-    pub fn forward(self, x: &Matrix) -> Matrix {
-        match self {
-            Activation::Identity => x.clone(),
-            _ => x.map(|v| self.apply(v)),
-        }
-    }
-
-    /// `grad_in = grad_out ⊙ f'(preactivation)`.
-    pub fn backward(self, preact: &Matrix, grad_out: &Matrix) -> Matrix {
+    /// `grad ⊙= f'(·)` in place, with the derivative taken from the
+    /// activation's *output* `h = f(p)` rather than its input `p`: ReLU
+    /// keeps `grad` where `h > 0`, Tanh scales it by `1 − h²`.
+    ///
+    /// For finite `p` this is bit-identical to differentiating at `p`:
+    /// `h > 0` exactly when `p > 0`, and `h` is the very `p.tanh()` the
+    /// input form would recompute. The one divergence is a NaN
+    /// pre-activation, which ReLU maps to `h = 0`: the gradient through
+    /// it is zeroed here, where a `p ≤ 0` test would have let it through.
+    pub(crate) fn backward_from_output(self, h: &[f64], grad: &mut [f64]) {
         match self {
             Activation::Relu => {
-                let mut g = grad_out.clone();
-                for (gv, &p) in g.data_mut().iter_mut().zip(preact.data()) {
-                    if p <= 0.0 {
-                        *gv = 0.0;
+                for (g, &v) in grad.iter_mut().zip(h) {
+                    if v <= 0.0 {
+                        *g = 0.0;
                     }
                 }
-                g
             }
             Activation::Tanh => {
-                let mut g = grad_out.clone();
-                for (gv, &p) in g.data_mut().iter_mut().zip(preact.data()) {
-                    let t = p.tanh();
-                    *gv *= 1.0 - t * t;
+                for (g, &v) in grad.iter_mut().zip(h) {
+                    *g *= 1.0 - v * v;
                 }
-                g
             }
-            Activation::Identity => grad_out.clone(),
+            Activation::Identity => {}
         }
     }
 
@@ -86,19 +80,19 @@ impl Activation {
     }
 }
 
-/// A fully connected layer `y = x · Wᵀ + b` with cached activations for
-/// backprop. Weights are stored `out × in`.
+/// A fully connected layer `y = x · Wᵀ + b`. Weights are stored
+/// `out × in`; `gw`/`gb` hold the gradients of the last
+/// [`crate::Mlp::backprop`].
 #[derive(Debug, Clone)]
 pub struct Linear {
     /// Weights, `out_dim × in_dim`.
     pub w: Matrix,
     /// Bias, length `out_dim`.
     pub b: Vec<f64>,
-    /// Weight gradient accumulator.
+    /// Weight gradient.
     pub gw: Matrix,
-    /// Bias gradient accumulator.
+    /// Bias gradient.
     pub gb: Vec<f64>,
-    input_cache: Option<Matrix>,
 }
 
 impl Linear {
@@ -119,7 +113,6 @@ impl Linear {
             gb: vec![0.0; out_dim],
             b: vec![0.0; out_dim],
             w,
-            input_cache: None,
         }
     }
 
@@ -131,7 +124,6 @@ impl Linear {
             gb: vec![0.0; b.len()],
             w,
             b,
-            input_cache: None,
         }
     }
 
@@ -145,45 +137,6 @@ impl Linear {
         self.w.rows()
     }
 
-    /// Inference-only forward (no caching, `&self`).
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul_transpose_b(&self.w);
-        y.add_row_broadcast(&self.b);
-        y
-    }
-
-    /// Training forward: caches the input for the backward pass.
-    pub fn forward_train(&mut self, x: &Matrix) -> Matrix {
-        let y = self.forward(x);
-        self.input_cache = Some(x.clone());
-        y
-    }
-
-    /// Backward pass: accumulates `gw`/`gb` and returns the input gradient.
-    ///
-    /// # Panics
-    /// Panics if called before `forward_train`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self
-            .input_cache
-            .as_ref()
-            .expect("backward called before forward_train");
-        // dW = dYᵀ · X ; db = colsum(dY) ; dX = dY · W
-        self.gw.add_assign(&grad_out.transpose_a_matmul(x));
-        for (g, s) in self.gb.iter_mut().zip(grad_out.column_sums()) {
-            *g += s;
-        }
-        grad_out.matmul(&self.w)
-    }
-
-    /// Clear gradient accumulators.
-    pub fn zero_grad(&mut self) {
-        self.gw.scale(0.0);
-        for g in &mut self.gb {
-            *g = 0.0;
-        }
-    }
-
     /// Total parameter count.
     pub fn num_params(&self) -> usize {
         self.w.rows() * self.w.cols() + self.b.len()
@@ -193,24 +146,30 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::Loss;
+    use crate::mlp::Mlp;
+    use crate::TrainScratch;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn relu_forward_backward() {
-        let x = Matrix::from_rows(&[&[-1.0, 2.0]]);
-        let y = Activation::Relu.forward(&x);
-        assert_eq!(y.data(), &[0.0, 2.0]);
-        let g = Activation::Relu.backward(&x, &Matrix::from_rows(&[&[5.0, 5.0]]));
-        assert_eq!(g.data(), &[0.0, 5.0]);
+        let h: Vec<f64> = [-1.0, 2.0]
+            .iter()
+            .map(|&v| Activation::Relu.apply(v))
+            .collect();
+        assert_eq!(h, [0.0, 2.0]);
+        let mut g = [5.0, 5.0];
+        Activation::Relu.backward_from_output(&h, &mut g);
+        assert_eq!(g, [0.0, 5.0]);
     }
 
     #[test]
     fn tanh_backward_matches_derivative() {
-        let x = Matrix::from_rows(&[&[0.3]]);
-        let g = Activation::Tanh.backward(&x, &Matrix::from_rows(&[&[1.0]]));
         let t = 0.3f64.tanh();
-        assert!((g.data()[0] - (1.0 - t * t)).abs() < 1e-12);
+        let mut g = [1.0];
+        Activation::Tanh.backward_from_output(&[Activation::Tanh.apply(0.3)], &mut g);
+        assert!((g[0] - (1.0 - t * t)).abs() < 1e-12);
     }
 
     #[test]
@@ -221,46 +180,58 @@ mod tests {
         assert_eq!(Activation::from_tag("nope"), None);
     }
 
+    /// A one-layer network with no activation: exactly one `Linear`.
+    fn single_layer(l: Linear) -> Mlp {
+        Mlp::from_parts(vec![l], Activation::Identity, Activation::Identity)
+    }
+
     #[test]
     fn linear_forward_known_values() {
         let w = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, -1.0]]);
-        let l = Linear::from_params(w, vec![0.5, 0.0]);
-        let y = l.forward(&Matrix::from_rows(&[&[3.0, 4.0]]));
+        let net = single_layer(Linear::from_params(w, vec![0.5, 0.0]));
+        let y = net.forward(&Matrix::from_rows(&[&[3.0, 4.0]]));
         assert_eq!(y.data(), &[11.5, -4.0]);
     }
 
     #[test]
     fn linear_gradients_match_finite_difference() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut l = Linear::new(3, 2, &mut rng);
-        let x = Matrix::from_rows(&[&[0.1, -0.2, 0.3], &[1.0, 0.5, -0.5]]);
-        // Loss = sum(y); dL/dy = ones.
-        let ones = Matrix::from_vec(2, 2, vec![1.0; 4]);
-        let _ = l.forward_train(&x);
-        l.zero_grad();
-        let gx = l.backward(&ones);
+        let mut net = single_layer(Linear::new(3, 2, &mut rng));
+        let x = [0.1, -0.2, 0.3, 1.0, 0.5, -0.5];
+        let y = [0.3, -0.1, 0.2, 0.7];
+        let loss = Loss::Mse { targets: &y };
+        let mut scratch = TrainScratch::new();
+        net.backprop(&x, 2, &loss, &mut scratch);
+        let loss_of = |net: &Mlp| {
+            let out = net.forward(&Matrix::from_vec(2, 3, x.to_vec()));
+            let mut g = [0.0; 4];
+            loss.eval(out.data(), 2, &mut g)
+        };
 
         let eps = 1e-6;
-        // Check a weight gradient.
         for (r, c) in [(0, 0), (1, 2)] {
-            let orig = l.w[(r, c)];
-            l.w[(r, c)] = orig + eps;
-            let up: f64 = l.forward(&x).data().iter().sum();
-            l.w[(r, c)] = orig - eps;
-            let dn: f64 = l.forward(&x).data().iter().sum();
-            l.w[(r, c)] = orig;
+            let orig = net.layers()[0].w[(r, c)];
+            net.layers_mut()[0].w[(r, c)] = orig + eps;
+            let up = loss_of(&net);
+            net.layers_mut()[0].w[(r, c)] = orig - eps;
+            let dn = loss_of(&net);
+            net.layers_mut()[0].w[(r, c)] = orig;
             let fd = (up - dn) / (2.0 * eps);
-            assert!((l.gw[(r, c)] - fd).abs() < 1e-6, "gw({r},{c})");
+            assert!(
+                (net.layers()[0].gw[(r, c)] - fd).abs() < 1e-6,
+                "gw({r},{c})"
+            );
         }
-        // Check an input gradient by perturbing x.
-        let mut x2 = x.clone();
-        let orig = x2[(0, 1)];
-        x2[(0, 1)] = orig + eps;
-        let up: f64 = l.forward(&x2).data().iter().sum();
-        x2[(0, 1)] = orig - eps;
-        let dn: f64 = l.forward(&x2).data().iter().sum();
-        let fd = (up - dn) / (2.0 * eps);
-        assert!((gx[(0, 1)] - fd).abs() < 1e-6);
+        for j in 0..2 {
+            let orig = net.layers()[0].b[j];
+            net.layers_mut()[0].b[j] = orig + eps;
+            let up = loss_of(&net);
+            net.layers_mut()[0].b[j] = orig - eps;
+            let dn = loss_of(&net);
+            net.layers_mut()[0].b[j] = orig;
+            let fd = (up - dn) / (2.0 * eps);
+            assert!((net.layers()[0].gb[j] - fd).abs() < 1e-6, "gb({j})");
+        }
     }
 
     #[test]

@@ -15,32 +15,35 @@
 //! log-probabilities* for Metropolis–Hastings corrections, which is why the
 //! whole crate works in `f64`.
 //!
-//! Inference has **one surface**: the batch-first, steady-state
-//! allocation-free [`Mlp::forward_into`] (fed from a [`ForwardScratch`];
-//! see the [`infer`] module), which produces bit-identical results per
-//! row for any batch size `rows ≥ 1`. [`Mlp::forward`] is its allocating
-//! reference twin, kept for training diagnostics and tests; the fused
-//! row kernels underneath `forward_into` are implementation details and
-//! no longer part of the public API.
+//! There is **one engine** for inference and training, built on the same
+//! register-tiled, sequential-k-order kernels and allocation-free once
+//! its scratch is warm:
+//!
+//! * inference — the batch-first [`Mlp::forward_into`], fed from a
+//!   [`ForwardScratch`] (see the [`infer`] module), bit-identical per
+//!   row for any batch size `rows ≥ 1`; [`Mlp::forward`] is a one-shot
+//!   allocating wrapper around it;
+//! * training — [`Mlp::train_step`] (forward → [`Loss`] gradient →
+//!   backward → clip → [`Adam`]), fed from a [`TrainScratch`]; its
+//!   gradient half is [`Mlp::backprop`].
+//!
+//! The kernels underneath are implementation details and not part of the
+//! public API.
 //!
 //! ```
-//! use dt_nn::{Activation, Adam, Matrix, Mlp};
+//! use dt_nn::{Activation, Adam, Loss, Mlp, TrainScratch};
 //! use rand::SeedableRng;
 //!
-//! // Learn y = x0 * x1 on random data.
+//! // Learn y = x0 * x1 from three row-major samples.
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
 //! let mut mlp = Mlp::new(&[2, 16, 1], Activation::Tanh, Activation::Identity, &mut rng);
 //! let mut adam = Adam::with_lr(1e-2);
-//! let x = Matrix::from_rows(&[&[0.5, -0.5], &[1.0, 1.0], &[-1.0, 0.25]]);
-//! let y = Matrix::from_rows(&[&[-0.25], &[1.0], &[-0.25]]);
+//! let mut scratch = TrainScratch::new();
+//! let x = [0.5, -0.5, 1.0, 1.0, -1.0, 0.25];
+//! let loss = Loss::Mse { targets: &[-0.25, 1.0, -0.25] };
 //! let mut last = f64::INFINITY;
 //! for _ in 0..200 {
-//!     let out = mlp.forward_train(&x);
-//!     let (loss, grad) = dt_nn::mse_loss(&out, &y);
-//!     mlp.zero_grad();
-//!     mlp.backward(&grad);
-//!     adam.step(&mut mlp);
-//!     last = loss;
+//!     last = mlp.train_step(&x, 3, &loss, f64::INFINITY, &mut adam, &mut scratch);
 //! }
 //! assert!(last < 0.05);
 //! ```
@@ -56,12 +59,9 @@ pub mod mlp;
 pub mod optim;
 pub mod serialize;
 
-pub use infer::ForwardScratch;
+pub use infer::{ForwardScratch, TrainScratch};
 pub use layer::{Activation, Linear};
-pub use loss::{
-    log_softmax_masked, log_softmax_masked_into, mse_loss, sample_categorical,
-    softmax_cross_entropy, softmax_cross_entropy_masked, softmax_cross_entropy_masked_flat,
-};
+pub use loss::{log_softmax_masked, log_softmax_masked_into, sample_categorical, Loss};
 pub use matrix::Matrix;
 pub use mlp::Mlp;
 pub use optim::{Adam, Sgd};

@@ -9,32 +9,82 @@
 
 use rand::{Rng, RngExt};
 
-use crate::matrix::Matrix;
-
-/// Mean-squared-error loss over all elements.
+/// A training loss over a batch of network outputs, with its targets.
 ///
-/// Returns `(loss, dL/d_pred)` where the gradient is already divided by the
-/// element count.
-pub fn mse_loss(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
-    assert_eq!(
-        (pred.rows(), pred.cols()),
-        (target.rows(), target.cols()),
-        "mse shape mismatch"
-    );
-    let n = pred.data().len() as f64;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
-    let mut loss = 0.0;
-    for ((g, &p), &t) in grad
-        .data_mut()
-        .iter_mut()
-        .zip(pred.data())
-        .zip(target.data())
-    {
-        let d = p - t;
-        loss += d * d;
-        *g = 2.0 * d / n;
+/// Both losses are means: [`Loss::eval`] divides the summed loss, and
+/// every gradient entry, by the element count (MSE) or the row count
+/// (cross-entropy).
+#[derive(Debug, Clone, Copy)]
+pub enum Loss<'a> {
+    /// Mean squared error against row-major targets of the output's
+    /// shape.
+    Mse {
+        /// `rows × out_dim` targets.
+        targets: &'a [f64],
+    },
+    /// Softmax cross-entropy with one integer class target per row.
+    CrossEntropy {
+        /// Target class of each row.
+        targets: &'a [usize],
+        /// Optional flat `rows × classes` mask of allowed classes (e.g.
+        /// exhausted species during constrained decoding). Masked classes
+        /// get zero probability and zero gradient; each row's target must
+        /// be allowed.
+        masks: Option<&'a [bool]>,
+    },
+}
+
+impl Loss<'_> {
+    /// The mean loss of `pred` (row-major, `cols` wide), with
+    /// `dL/d_pred` written into `grad` (same shape). Allocation-free.
+    ///
+    /// # Panics
+    /// Panics when the targets, masks or `grad` do not match `pred`.
+    pub fn eval(&self, pred: &[f64], cols: usize, grad: &mut [f64]) -> f64 {
+        assert!(grad.len() >= pred.len(), "gradient buffer too short");
+        match *self {
+            Loss::Mse { targets } => {
+                assert_eq!(pred.len(), targets.len(), "mse shape mismatch");
+                let n = pred.len() as f64;
+                let mut loss = 0.0;
+                for ((g, &p), &t) in grad.iter_mut().zip(pred).zip(targets) {
+                    let d = p - t;
+                    loss += d * d;
+                    *g = 2.0 * d / n;
+                }
+                loss / n
+            }
+            Loss::CrossEntropy { targets, masks } => {
+                let rows = targets.len();
+                assert_eq!(pred.len(), rows * cols, "target count mismatch");
+                if let Some(m) = masks {
+                    assert_eq!(m.len(), pred.len(), "flat mask length mismatch");
+                }
+                let mut loss = 0.0;
+                for (r, &t) in targets.iter().enumerate() {
+                    let span = r * cols..(r + 1) * cols;
+                    let mask = masks.map(|m| &m[span.clone()]);
+                    debug_assert!(
+                        mask.is_none_or(|m| m[t]),
+                        "target {t} masked out in row {r}"
+                    );
+                    // The row's log-probabilities are staged in its
+                    // gradient slots, then turned into `p − onehot`.
+                    let g_row = &mut grad[span.clone()];
+                    log_softmax_masked_slice(&pred[span], mask, g_row);
+                    loss -= g_row[t];
+                    for (c, g) in g_row.iter_mut().enumerate() {
+                        *g = if *g == f64::NEG_INFINITY {
+                            0.0
+                        } else {
+                            (g.exp() - f64::from(u8::from(c == t))) / rows as f64
+                        };
+                    }
+                }
+                loss / rows as f64
+            }
+        }
     }
-    (loss / n, grad)
 }
 
 /// Row-wise log-softmax with an optional mask of allowed classes.
@@ -54,6 +104,14 @@ pub fn log_softmax_masked(logits: &[f64], mask: Option<&[bool]>) -> Vec<f64> {
 /// decode loop. The arithmetic is identical to [`log_softmax_masked`], so
 /// results are bit-identical.
 pub fn log_softmax_masked_into(logits: &[f64], mask: Option<&[bool]>, out: &mut Vec<f64>) {
+    out.clear();
+    out.resize(logits.len(), 0.0);
+    log_softmax_masked_slice(logits, mask, out);
+}
+
+/// The masked log-softmax arithmetic, writing `logits.len()` values
+/// into `out`.
+fn log_softmax_masked_slice(logits: &[f64], mask: Option<&[bool]>, out: &mut [f64]) {
     if let Some(m) = mask {
         assert_eq!(m.len(), logits.len(), "mask length mismatch");
         assert!(m.iter().any(|&a| a), "mask must allow at least one class");
@@ -72,96 +130,13 @@ pub fn log_softmax_masked_into(logits: &[f64], mask: Option<&[bool]>, out: &mut 
         }
     }
     let lse = max + lse.ln();
-    out.clear();
-    out.extend(logits.iter().enumerate().map(|(i, &v)| {
-        if allowed(i) {
+    for (i, (o, &v)) in out.iter_mut().zip(logits).enumerate() {
+        *o = if allowed(i) {
             v - lse
         } else {
             f64::NEG_INFINITY
-        }
-    }));
-}
-
-/// Softmax cross-entropy over a batch with integer targets.
-///
-/// Returns `(mean loss, dL/d_logits)`.
-pub fn softmax_cross_entropy(logits: &Matrix, targets: &[usize]) -> (f64, Matrix) {
-    softmax_cross_entropy_impl(logits, targets, MaskSource::None)
-}
-
-/// Masked softmax cross-entropy: per-row class masks (e.g. exhausted
-/// species during constrained decoding). Targets must be allowed by their
-/// row's mask.
-pub fn softmax_cross_entropy_masked(
-    logits: &Matrix,
-    targets: &[usize],
-    masks: &[Vec<bool>],
-) -> (f64, Matrix) {
-    assert_eq!(masks.len(), targets.len(), "mask count mismatch");
-    softmax_cross_entropy_impl(logits, targets, MaskSource::Rows(masks))
-}
-
-/// [`softmax_cross_entropy_masked`] with the per-row masks flattened into
-/// one `rows × cols` slice — the reusable-buffer form the proposal
-/// trainer feeds so building a minibatch allocates no per-row `Vec`s.
-pub fn softmax_cross_entropy_masked_flat(
-    logits: &Matrix,
-    targets: &[usize],
-    masks: &[bool],
-) -> (f64, Matrix) {
-    assert_eq!(
-        masks.len(),
-        logits.rows() * logits.cols(),
-        "flat mask length mismatch"
-    );
-    softmax_cross_entropy_impl(logits, targets, MaskSource::Flat(masks))
-}
-
-/// Where per-row class masks come from, if anywhere.
-enum MaskSource<'a> {
-    None,
-    Rows(&'a [Vec<bool>]),
-    Flat(&'a [bool]),
-}
-
-impl<'a> MaskSource<'a> {
-    fn row(&self, r: usize, cols: usize) -> Option<&'a [bool]> {
-        match self {
-            MaskSource::None => None,
-            MaskSource::Rows(m) => Some(m[r].as_slice()),
-            MaskSource::Flat(m) => Some(&m[r * cols..(r + 1) * cols]),
-        }
+        };
     }
-}
-
-fn softmax_cross_entropy_impl(
-    logits: &Matrix,
-    targets: &[usize],
-    masks: MaskSource<'_>,
-) -> (f64, Matrix) {
-    assert_eq!(logits.rows(), targets.len(), "target count mismatch");
-    let rows = logits.rows();
-    let mut grad = Matrix::zeros(rows, logits.cols());
-    let mut loss = 0.0;
-    for (r, &t) in targets.iter().enumerate() {
-        let mask = masks.row(r, logits.cols());
-        let logp = log_softmax_masked(logits.row(r), mask);
-        debug_assert!(
-            mask.is_none_or(|m| m[t]),
-            "target {t} masked out in row {r}"
-        );
-        loss -= logp[t];
-        let g_row = grad.row_mut(r);
-        for (c, &lp) in logp.iter().enumerate() {
-            if lp == f64::NEG_INFINITY {
-                g_row[c] = 0.0;
-            } else {
-                let p = lp.exp();
-                g_row[c] = (p - f64::from(u8::from(c == t))) / rows as f64;
-            }
-        }
-    }
-    (loss / rows as f64, grad)
 }
 
 /// Sample a class index from log-probabilities (as produced by
@@ -195,11 +170,13 @@ mod tests {
 
     #[test]
     fn mse_known_value() {
-        let p = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let t = Matrix::from_rows(&[&[0.0, 4.0]]);
-        let (loss, grad) = mse_loss(&p, &t);
+        let mut grad = [0.0; 2];
+        let loss = Loss::Mse {
+            targets: &[0.0, 4.0],
+        }
+        .eval(&[1.0, 2.0], 2, &mut grad);
         assert!((loss - 2.5).abs() < 1e-12); // (1 + 4)/2
-        assert_eq!(grad.data(), &[1.0, -2.0]);
+        assert_eq!(grad, [1.0, -2.0]);
     }
 
     #[test]
@@ -239,30 +216,37 @@ mod tests {
 
     #[test]
     fn cross_entropy_gradient_matches_finite_difference() {
-        let logits = Matrix::from_rows(&[&[0.2, -0.1, 0.5], &[1.0, 0.0, -1.0]]);
-        let targets = [2usize, 0];
-        let (_, grad) = softmax_cross_entropy(&logits, &targets);
+        let logits = [0.2, -0.1, 0.5, 1.0, 0.0, -1.0];
+        let loss = Loss::CrossEntropy {
+            targets: &[2, 0],
+            masks: None,
+        };
+        let mut grad = [0.0; 6];
+        loss.eval(&logits, 3, &mut grad);
         let eps = 1e-6;
-        for (r, c) in [(0usize, 0usize), (0, 2), (1, 1)] {
-            let mut up = logits.clone();
-            up[(r, c)] += eps;
-            let mut dn = logits.clone();
-            dn[(r, c)] -= eps;
-            let (lu, _) = softmax_cross_entropy(&up, &targets);
-            let (ld, _) = softmax_cross_entropy(&dn, &targets);
-            let fd = (lu - ld) / (2.0 * eps);
-            assert!((grad[(r, c)] - fd).abs() < 1e-6, "({r},{c})");
+        let mut scratch = [0.0; 6];
+        for i in [0usize, 2, 4] {
+            let mut up = logits;
+            up[i] += eps;
+            let mut dn = logits;
+            dn[i] -= eps;
+            let fd =
+                (loss.eval(&up, 3, &mut scratch) - loss.eval(&dn, 3, &mut scratch)) / (2.0 * eps);
+            assert!((grad[i] - fd).abs() < 1e-6, "element {i}");
         }
     }
 
     #[test]
     fn masked_cross_entropy_ignores_masked_classes() {
-        let logits = Matrix::from_rows(&[&[9.0, 0.0, 0.0]]);
-        let masks = vec![vec![false, true, true]];
-        let (loss, grad) = softmax_cross_entropy_masked(&logits, &[1], &masks);
+        let mut grad = [f64::NAN; 3];
+        let loss = Loss::CrossEntropy {
+            targets: &[1],
+            masks: Some(&[false, true, true]),
+        }
+        .eval(&[9.0, 0.0, 0.0], 3, &mut grad);
         // With class 0 masked, classes 1/2 are symmetric: loss = ln 2.
         assert!((loss - 2.0f64.ln()).abs() < 1e-12);
-        assert_eq!(grad[(0, 0)], 0.0);
+        assert_eq!(grad[0], 0.0);
     }
 
     #[test]

@@ -6,10 +6,12 @@ use rand::Rng;
 
 use crate::infer::{
     linear_forward_fused, linear_forward_fused_packed, pack_weights_transposed, packed_len,
-    ForwardScratch,
+    uses_packed, ForwardScratch, TrainScratch,
 };
 use crate::layer::{Activation, Linear};
-use crate::matrix::Matrix;
+use crate::loss::Loss;
+use crate::matrix::{column_sums_into, matmul_into, transpose_a_matmul_into, Matrix};
+use crate::optim::Adam;
 
 /// Process-global weight-version source: every freshly built or mutably
 /// re-exposed network takes a new, never-reused version, so two networks
@@ -29,8 +31,6 @@ pub struct Mlp {
     layers: Vec<Linear>,
     hidden_act: Activation,
     out_act: Activation,
-    /// Pre-activation caches from the last `forward_train`.
-    preacts: Vec<Matrix>,
     /// Weight version for [`ForwardScratch`] repack caching; bumped on
     /// every mutable layer access.
     version: u64,
@@ -56,7 +56,6 @@ impl Mlp {
             layers,
             hidden_act,
             out_act,
-            preacts: Vec::new(),
             version: next_weights_version(),
         }
     }
@@ -68,7 +67,6 @@ impl Mlp {
             layers,
             hidden_act,
             out_act,
-            preacts: Vec::new(),
             version: next_weights_version(),
         }
     }
@@ -119,25 +117,17 @@ impl Mlp {
         self.layers.iter().map(Linear::num_params).sum()
     }
 
-    /// Allocating reference forward pass (`&self`, no caches) — safe to
-    /// share across threads.
+    /// Allocating convenience forward pass over the rows of `x`: one
+    /// [`Mlp::forward_into`] through a fresh scratch, so it is
+    /// bit-identical to it. Hot paths hold a [`ForwardScratch`] instead.
     ///
-    /// Kept for training diagnostics and tests; hot paths should use the
-    /// batch-first [`Mlp::forward_into`], which is bit-identical per row
-    /// and allocation-free once warmed.
+    /// # Panics
+    /// Panics when `x.cols()` is not [`Mlp::in_dim`].
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let pre = layer.forward(&h);
-            let act = if i == last {
-                self.out_act
-            } else {
-                self.hidden_act
-            };
-            h = act.forward(&pre);
-        }
-        h
+        assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
+        let mut scratch = ForwardScratch::new();
+        let out = self.forward_into(x.data(), x.rows(), &mut scratch);
+        Matrix::from_vec(x.rows(), self.out_dim(), out.to_vec())
     }
 
     /// **The** inference surface: a batch-first forward pass into
@@ -146,12 +136,12 @@ impl Mlp {
     /// `x` holds `rows ≥ 1` row-major feature rows of width
     /// [`Mlp::in_dim`]; the returned slice holds `rows` rows of width
     /// [`Mlp::out_dim`], borrowed from `scratch`. Each output row is
-    /// bit-identical to [`Mlp::forward`] on that row alone, *regardless
-    /// of the batch size* — every fused kernel underneath accumulates in
-    /// the same sequential k-order — which is what lets callers batch
-    /// work across walkers without perturbing any Markov chain. A scratch
-    /// warmed by [`ForwardScratch::reserve`] — or by a first call at the
-    /// largest batch size — makes this perform **zero heap allocations**.
+    /// bit-identical *regardless of the batch size* — every fused kernel
+    /// underneath accumulates in the same sequential k-order — which is
+    /// what lets callers batch work across walkers without perturbing any
+    /// Markov chain. A scratch warmed by [`ForwardScratch::reserve`] — or
+    /// by a first call at the largest batch size — makes this perform
+    /// **zero heap allocations**.
     ///
     /// # Panics
     /// Panics when `x` is shorter than `rows · in_dim`.
@@ -163,38 +153,18 @@ impl Mlp {
     ) -> &'a [f64] {
         assert!(x.len() >= rows * self.in_dim(), "input rows too short");
         scratch.reserve(self, rows);
+        let packed = uses_packed(rows);
+        if packed {
+            self.pack_weights(scratch);
+        }
         let ForwardScratch {
             buf_a,
             buf_b,
             packed_w,
-            packed_version,
+            ..
         } = scratch;
-        let packed = rows >= 2 && cfg!(target_feature = "avx");
-        if packed && *packed_version != self.version {
-            // Multi-row batch: repack every layer's weights so the column
-            // loop vectorizes. The pack is cached across forwards and
-            // invalidated only when the weights change, so its cost
-            // amortizes over entire sampling runs, not just one batch.
-            // Bit-identical to the scalar tile. Without AVX the vector
-            // lanes are too narrow to beat the scalar tile's eight
-            // accumulator chains, so the packed path is compiled out on
-            // baseline targets.
-            let mut off = 0;
-            for layer in &self.layers {
-                let wn = packed_len(layer.w.cols(), layer.w.rows());
-                pack_weights_transposed(&layer.w, &mut packed_w[off..off + wn]);
-                off += wn;
-            }
-            *packed_version = self.version;
-        }
         let last = self.layers.len() - 1;
-        let mut off = 0;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let act = if i == last {
-                self.out_act
-            } else {
-                self.hidden_act
-            };
+        for i in 0..self.layers.len() {
             // Ping-pong: x → a → b → a → …
             let (src, dst): (&[f64], &mut [f64]) = if i == 0 {
                 (x, buf_a.as_mut_slice())
@@ -203,22 +173,7 @@ impl Mlp {
             } else {
                 (buf_b.as_slice(), buf_a.as_mut_slice())
             };
-            if packed {
-                let wn = packed_len(layer.w.cols(), layer.w.rows());
-                linear_forward_fused_packed(
-                    src,
-                    rows,
-                    &packed_w[off..off + wn],
-                    layer.w.cols(),
-                    layer.w.rows(),
-                    &layer.b,
-                    act,
-                    dst,
-                );
-                off += wn;
-            } else {
-                linear_forward_fused(src, rows, &layer.w, &layer.b, act, dst);
-            }
+            self.layer_forward(i, src, rows, packed.then_some(packed_w.as_slice()), dst);
         }
         let out = rows * self.out_dim();
         if last % 2 == 0 {
@@ -228,53 +183,165 @@ impl Mlp {
         }
     }
 
-    /// Training forward pass: caches pre-activations for [`Mlp::backward`].
-    pub fn forward_train(&mut self, x: &Matrix) -> Matrix {
-        self.preacts.clear();
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for i in 0..self.layers.len() {
-            let pre = self.layers[i].forward_train(&h);
-            let act = if i == last {
-                self.out_act
-            } else {
-                self.hidden_act
-            };
-            h = act.forward(&pre);
-            self.preacts.push(pre);
+    /// Make sure `scratch` (already sized by
+    /// [`ForwardScratch::reserve_packed`]) holds this network's packed
+    /// weights, for the packed kernel's vectorized column loop.
+    ///
+    /// The pack is cached across forwards and invalidated only when the
+    /// weights change, so during sampling its cost amortizes over entire
+    /// runs, and during training (one repack per optimizer step) over
+    /// every row of the step. Bit-identical to the scalar tile.
+    fn pack_weights(&self, scratch: &mut ForwardScratch) {
+        if scratch.packed_version != self.version {
+            let mut off = 0;
+            for layer in &self.layers {
+                let wn = packed_len(layer.in_dim(), layer.out_dim());
+                pack_weights_transposed(&layer.w, &mut scratch.packed_w[off..off + wn]);
+                off += wn;
+            }
+            scratch.packed_version = self.version;
         }
-        h
     }
 
-    /// Backward pass from an output gradient; accumulates layer gradients.
+    /// Activation applied after layer `i`.
+    fn activation(&self, i: usize) -> Activation {
+        if i + 1 == self.layers.len() {
+            self.out_act
+        } else {
+            self.hidden_act
+        }
+    }
+
+    /// Layer `i` of the forward pass: `dst = act_i(src · W_iᵀ + b_i)`
+    /// over `rows` rows, through the packed kernel when `packed_w` (every
+    /// layer's packed weights, as [`Mlp::pack_weights`] lays them out)
+    /// is given.
+    fn layer_forward(
+        &self,
+        i: usize,
+        src: &[f64],
+        rows: usize,
+        packed_w: Option<&[f64]>,
+        dst: &mut [f64],
+    ) {
+        let layer = &self.layers[i];
+        let act = self.activation(i);
+        match packed_w {
+            Some(all) => {
+                let off: usize = self.layers[..i]
+                    .iter()
+                    .map(|l| packed_len(l.in_dim(), l.out_dim()))
+                    .sum();
+                let wn = packed_len(layer.in_dim(), layer.out_dim());
+                linear_forward_fused_packed(
+                    src,
+                    rows,
+                    &all[off..off + wn],
+                    layer.in_dim(),
+                    layer.out_dim(),
+                    &layer.b,
+                    act,
+                    dst,
+                );
+            }
+            None => linear_forward_fused(src, rows, &layer.w, &layer.b, act, dst),
+        }
+    }
+
+    /// Forward, loss and backward over `rows` rows of `x`: leaves
+    /// `dL/dW` and `dL/db` in every layer's `gw`/`gb` (overwriting them)
+    /// and returns the mean loss. Allocation-free once `scratch` is warm.
+    ///
+    /// The forward is [`Mlp::forward_into`]'s layer pass, keeping each
+    /// layer's output. Backward runs the tiled products of
+    /// [`crate::matrix`]: the activation derivative is taken from each
+    /// layer's output, then `dW = dYᵀ · X`, `db = Σ_rows dY` and — for
+    /// every layer but the first, whose input gradient nobody reads —
+    /// `dX = dY · W`. Every element keeps the reference accumulation
+    /// order (k ascending for `X · Wᵀ` and `dY · W`, rows ascending for
+    /// `dYᵀ · X` and the bias sums, bias added after the sum), so losses
+    /// and gradients do not depend on the tiling.
+    ///
+    /// NaN policy: no product skips a zero multiplier (see
+    /// [`crate::matrix`]), so a NaN or infinite weight or activation
+    /// reaches the gradients. The one exception is a NaN pre-activation
+    /// under ReLU: its output is `0`, and the derivative taken from that
+    /// output zeroes the gradient through it.
     ///
     /// # Panics
-    /// Panics if `forward_train` was not called first.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        assert_eq!(
-            self.preacts.len(),
-            self.layers.len(),
-            "backward called before forward_train"
-        );
-        let last = self.layers.len() - 1;
-        let mut grad = grad_out.clone();
-        for i in (0..self.layers.len()).rev() {
-            let act = if i == last {
-                self.out_act
+    /// Panics when `x` is shorter than `rows · in_dim` or `loss` does not
+    /// match `rows × out_dim`.
+    pub fn backprop(
+        &mut self,
+        x: &[f64],
+        rows: usize,
+        loss: &Loss<'_>,
+        scratch: &mut TrainScratch,
+    ) -> f64 {
+        assert!(x.len() >= rows * self.in_dim(), "input rows too short");
+        scratch.reserve(self, rows);
+        self.pack_weights(&mut scratch.fwd);
+        let TrainScratch { fwd, acts } = scratch;
+
+        // Forward: layer i's output lands at acts[rows · Σ_{j<i} out_j].
+        let mut off = 0;
+        for i in 0..self.layers.len() {
+            let (done, rest) = acts.split_at_mut(off);
+            let src = if i == 0 {
+                x
             } else {
-                self.hidden_act
+                &done[off - rows * self.layers[i].in_dim()..]
             };
-            let g_pre = act.backward(&self.preacts[i], &grad);
-            grad = self.layers[i].backward(&g_pre);
+            let n = rows * self.layers[i].out_dim();
+            self.layer_forward(i, src, rows, Some(&fwd.packed_w), &mut rest[..n]);
+            off += n;
         }
-        grad
+
+        // Backward, with the gradient ping-ponging between g and g_next.
+        let mut g = &mut fwd.buf_a;
+        let mut g_next = &mut fwd.buf_b;
+        let last_dim = self.out_dim();
+        off -= rows * last_dim;
+        let value = loss.eval(&acts[off..off + rows * last_dim], last_dim, g);
+        for i in (0..self.layers.len()).rev() {
+            let act = self.activation(i);
+            let layer = &mut self.layers[i];
+            let (in_dim, out_dim) = (layer.in_dim(), layer.out_dim());
+            let gi = &mut g[..rows * out_dim];
+            act.backward_from_output(&acts[off..off + rows * out_dim], gi);
+            let input = if i == 0 {
+                x
+            } else {
+                off -= rows * in_dim;
+                &acts[off..off + rows * in_dim]
+            };
+            transpose_a_matmul_into(gi, out_dim, input, in_dim, rows, layer.gw.data_mut());
+            column_sums_into(gi, rows, &mut layer.gb);
+            if i > 0 {
+                matmul_into(gi, rows, &layer.w, g_next);
+                std::mem::swap(&mut g, &mut g_next);
+            }
+        }
+        value
     }
 
-    /// Zero every gradient accumulator.
-    pub fn zero_grad(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grad();
-        }
+    /// **The** training step: [`Mlp::backprop`], then
+    /// [`Mlp::clip_grad_norm`] to `grad_clip` (pass `f64::INFINITY` for
+    /// none), then one `adam` update. Returns the mean loss before the
+    /// update. Allocation-free once `scratch` and `adam` are warm.
+    pub fn train_step(
+        &mut self,
+        x: &[f64],
+        rows: usize,
+        loss: &Loss<'_>,
+        grad_clip: f64,
+        adam: &mut Adam,
+        scratch: &mut TrainScratch,
+    ) -> f64 {
+        let value = self.backprop(x, rows, loss, scratch);
+        self.clip_grad_norm(grad_clip);
+        adam.step(self);
+        value
     }
 
     /// Flatten all parameters (weights then bias, layer by layer) into one
@@ -335,7 +402,6 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::mse_loss;
     use crate::optim::Sgd;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -352,12 +418,16 @@ mod tests {
 
     #[test]
     fn forward_equals_forward_train() {
+        // The training forward leaves the network output as the last
+        // layer block of the scratch; it must equal inference exactly.
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut mlp = Mlp::new(&[3, 6, 2], Activation::Tanh, Activation::Identity, &mut rng);
         let x = Matrix::from_rows(&[&[0.1, 0.2, -0.3], &[1.0, -1.0, 0.5]]);
         let a = mlp.forward(&x);
-        let b = mlp.forward_train(&x);
-        assert_eq!(a, b);
+        let mut scratch = TrainScratch::new();
+        let y = [0.0; 4];
+        mlp.backprop(x.data(), 2, &Loss::Mse { targets: &y }, &mut scratch);
+        assert_eq!(&scratch.acts[2 * 6..2 * 6 + 4], a.data());
     }
 
     #[test]
@@ -365,18 +435,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut mlp = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Identity, &mut rng);
         let x = Matrix::from_rows(&[&[0.3, -0.7], &[0.5, 0.1]]);
-        let y = Matrix::from_rows(&[&[1.0], &[-1.0]]);
-
-        let out = mlp.forward_train(&x);
-        let (_, grad) = mse_loss(&out, &y);
-        mlp.zero_grad();
-        mlp.backward(&grad);
+        let y = [1.0, -1.0];
+        let loss = Loss::Mse { targets: &y };
+        mlp.backprop(x.data(), 2, &loss, &mut TrainScratch::new());
 
         let eps = 1e-6;
-        let loss_of = |mlp: &Mlp| -> f64 {
-            let out = mlp.forward(&x);
-            mse_loss(&out, &y).0
-        };
+        let loss_of = |mlp: &Mlp| -> f64 { loss.eval(mlp.forward(&x).data(), 1, &mut [0.0; 2]) };
         // Spot-check several parameters in every layer.
         for li in 0..mlp.layers().len() {
             for &(r, c) in &[(0usize, 0usize), (0, 1)] {
@@ -404,19 +468,17 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut mlp = Mlp::new(&[1, 8, 1], Activation::Tanh, Activation::Identity, &mut rng);
         let xs: Vec<f64> = (0..16).map(|i| i as f64 / 8.0 - 1.0).collect();
-        let x = Matrix::from_vec(16, 1, xs.clone());
-        let y = Matrix::from_vec(16, 1, xs.iter().map(|&v| v * v).collect());
+        let ys: Vec<f64> = xs.iter().map(|&v| v * v).collect();
+        let loss = Loss::Mse { targets: &ys };
+        let mut scratch = TrainScratch::new();
         let mut sgd = Sgd::new(0.05);
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..1000 {
-            let out = mlp.forward_train(&x);
-            let (loss, grad) = mse_loss(&out, &y);
-            mlp.zero_grad();
-            mlp.backward(&grad);
+            let l = mlp.backprop(&xs, 16, &loss, &mut scratch);
             sgd.step(&mut mlp);
-            first.get_or_insert(loss);
-            last = loss;
+            first.get_or_insert(l);
+            last = l;
         }
         assert!(last < first.unwrap() * 0.2, "{last} vs {first:?}");
     }
@@ -445,11 +507,12 @@ mod tests {
     fn grad_clipping_bounds_norm() {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let mut mlp = Mlp::new(&[2, 4, 2], Activation::Relu, Activation::Identity, &mut rng);
-        let x = Matrix::from_rows(&[&[10.0, -10.0]]);
-        let out = mlp.forward_train(&x);
-        let big = out.map(|_| 100.0);
-        mlp.zero_grad();
-        mlp.backward(&big);
+        // A target far from any output makes a huge gradient.
+        let loss = Loss::Mse {
+            targets: &[1e4, -1e4],
+        };
+        mlp.backprop(&[10.0, -10.0], 1, &loss, &mut TrainScratch::new());
+        assert!(mlp.grad_norm() > 1.0);
         mlp.clip_grad_norm(1.0);
         assert!(mlp.grad_norm() <= 1.0 + 1e-9);
     }

@@ -161,7 +161,8 @@ impl Adam {
 mod tests {
     use super::*;
     use crate::layer::Activation;
-    use crate::loss::mse_loss;
+    use crate::loss::Loss;
+    use crate::TrainScratch;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -182,21 +183,20 @@ mod tests {
             &[0.5, 0.5],
             &[-0.5, 0.5],
         ]);
-        let y = Matrix::from_vec(6, 1, x.data().chunks(2).map(|p| p[0] * p[1]).collect());
+        let y: Vec<f64> = x.data().chunks(2).map(|p| p[0] * p[1]).collect();
+        let loss = Loss::Mse { targets: &y };
+        let mut scratch = TrainScratch::new();
         let mut sgd = Sgd::with_momentum(0.05, 0.9);
         let mut adam = Adam::with_lr(0.01);
         let mut last = 0.0;
         for _ in 0..steps {
-            let out = mlp.forward_train(&x);
-            let (loss, grad) = mse_loss(&out, &y);
-            mlp.zero_grad();
-            mlp.backward(&grad);
-            if opt_is_adam {
-                adam.step(&mut mlp);
+            last = if opt_is_adam {
+                mlp.train_step(x.data(), 6, &loss, f64::INFINITY, &mut adam, &mut scratch)
             } else {
+                let l = mlp.backprop(x.data(), 6, &loss, &mut scratch);
                 sgd.step(&mut mlp);
-            }
-            last = loss;
+                l
+            };
         }
         last
     }
@@ -232,13 +232,17 @@ mod tests {
         );
         let w0 = mlp.layers()[0].w[(0, 0)];
         let x = Matrix::from_rows(&[&[1000.0]]);
-        let out = mlp.forward_train(&x);
-        let target = out.map(|v| v + 1e6);
-        let (_, grad) = mse_loss(&out, &target);
-        mlp.zero_grad();
-        mlp.backward(&grad);
+        let target = [mlp.forward(&x).data()[0] + 1e6];
         let mut adam = Adam::with_lr(0.01);
-        adam.step(&mut mlp);
+        let loss = Loss::Mse { targets: &target };
+        mlp.train_step(
+            x.data(),
+            1,
+            &loss,
+            f64::INFINITY,
+            &mut adam,
+            &mut TrainScratch::new(),
+        );
         let dw = (mlp.layers()[0].w[(0, 0)] - w0).abs();
         assert!(dw <= 0.011, "first Adam step {dw} must be ~lr");
     }

@@ -1,39 +1,39 @@
-//! Asserts the acceptance criterion that steady-state `forward_into`
-//! performs **zero heap allocations**, using a counting global allocator.
+//! Asserts that steady-state `forward_into` and `train_step` perform
+//! **zero heap allocations**, using a counting global allocator.
 //!
-//! Counting is armed per-thread: the libtest harness keeps its own
-//! threads alive next to the test thread, and their incidental
-//! allocations must not leak into the count. The flag is a
-//! const-initialised `Cell` so arming it never allocates (a lazily
-//! initialised thread-local would recurse into the allocator).
+//! Counting is per-thread, flag and counter both: the libtest harness
+//! keeps its own threads alive next to the test threads, and neither
+//! their incidental allocations nor a concurrently running test's may
+//! leak into a count. Both are const-initialised `Cell`s so arming them
+//! never allocates (a lazily initialised thread-local would recurse into
+//! the allocator).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dt_nn::{log_softmax_masked_into, Activation, ForwardScratch, Mlp};
+use dt_nn::{log_softmax_masked_into, Activation, Adam, ForwardScratch, Loss, Mlp, TrainScratch};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// True when the current thread has armed counting. `Cell<bool>` has no
-/// destructor, so the allocator never observes a dead thread-local.
-fn counting() -> bool {
-    COUNTING.with(|c| c.get())
+/// Count one allocation if the current thread has armed counting.
+/// `Cell`s have no destructor, so the allocator never observes a dead
+/// thread-local.
+fn count() {
+    if COUNTING.with(|c| c.get()) {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc(layout)
     }
 
@@ -42,9 +42,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,11 +52,11 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Count heap allocations performed by `f` on the calling thread.
 fn allocations_in(f: impl FnOnce()) -> usize {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
+    ALLOCATIONS.with(|n| n.set(0));
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(|n| n.get())
 }
 
 #[test]
@@ -107,4 +105,52 @@ fn steady_state_forward_into_is_allocation_free() {
         std::hint::black_box(&v);
     });
     assert!(count >= 1, "counter should see an explicit allocation");
+}
+
+#[test]
+fn steady_state_train_step_is_allocation_free() {
+    let mut rng = ChaCha8Rng::seed_from_u64(8);
+    let mut mlp = Mlp::new(
+        &[15, 32, 32, 4],
+        Activation::Relu,
+        Activation::Identity,
+        &mut rng,
+    );
+    let rows = 256usize;
+    let x: Vec<f64> = (0..rows * 15).map(|_| rng.random::<f64>()).collect();
+    let targets: Vec<usize> = (0..rows).map(|r| r % 4).collect();
+    let masks: Vec<bool> = (0..rows * 4)
+        .map(|i| i % 4 != 3 || i / 4 % 4 == 3)
+        .collect();
+    let y: Vec<f64> = (0..rows * 4).map(|_| rng.random::<f64>()).collect();
+    let ce = Loss::CrossEntropy {
+        targets: &targets,
+        masks: Some(&masks),
+    };
+    let mse = Loss::Mse { targets: &y };
+    let mut adam = Adam::with_lr(3e-3);
+    let mut scratch = TrainScratch::new();
+
+    // Warm-up: grows the scratch and the Adam state.
+    let mut sink = mlp.train_step(&x, rows, &ce, 5.0, &mut adam, &mut scratch);
+
+    let count = allocations_in(|| {
+        for _ in 0..10 {
+            sink += mlp.train_step(&x, rows, &ce, 5.0, &mut adam, &mut scratch);
+            sink += mlp.train_step(
+                &x[..15 * 7],
+                7,
+                &Loss::Mse { targets: &y[..28] },
+                5.0,
+                &mut adam,
+                &mut scratch,
+            );
+            sink += mlp.train_step(&x, rows, &mse, 5.0, &mut adam, &mut scratch);
+        }
+    });
+    assert!(sink.is_finite());
+    assert_eq!(
+        count, 0,
+        "steady-state train_step must not allocate, saw {count} allocations"
+    );
 }

@@ -1,11 +1,12 @@
 //! Equivalence suite for the batched inference engine: `forward_into`
-//! must be **bit-identical** to the `Mlp::forward` reference path for any
-//! network shape, activation pairing, and batch size — the deep
-//! proposal's Metropolis–Hastings log-probabilities depend on it.
+//! must be **bit-identical** to the layer-by-layer `Matrix` reference
+//! path for any network shape, activation pairing, and batch size — the
+//! deep proposal's Metropolis–Hastings log-probabilities depend on it.
+
+mod reference;
 
 use dt_nn::{
-    log_softmax_masked, log_softmax_masked_into, softmax_cross_entropy_masked,
-    softmax_cross_entropy_masked_flat, Activation, ForwardScratch, Matrix, Mlp,
+    log_softmax_masked, log_softmax_masked_into, Activation, ForwardScratch, Loss, Matrix, Mlp,
 };
 use proptest::prelude::*;
 use rand::{RngExt, SeedableRng};
@@ -37,7 +38,7 @@ proptest! {
         let x: Vec<f64> = (0..rows * dims[0])
             .map(|_| rng.random::<f64>() * 6.0 - 3.0)
             .collect();
-        let reference = mlp.forward(&Matrix::from_vec(rows, dims[0], x.clone()));
+        let reference = reference::forward(&mlp, &Matrix::from_vec(rows, dims[0], x.clone()));
         let mut scratch = ForwardScratch::new();
         let got = mlp.forward_into(&x, rows, &mut scratch);
         prop_assert_eq!(got.len(), reference.data().len());
@@ -56,7 +57,7 @@ proptest! {
         let mut scratch = ForwardScratch::for_mlp(&mlp, 8);
         for rows in [8usize, 1, 3, 8, 2, 1] {
             let x: Vec<f64> = (0..rows * 5).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect();
-            let reference = mlp.forward(&Matrix::from_vec(rows, 5, x.clone()));
+            let reference = reference::forward(&mlp, &Matrix::from_vec(rows, 5, x.clone()));
             let got = mlp.forward_into(&x, rows, &mut scratch);
             for (g, e) in got.iter().zip(reference.data()) {
                 prop_assert_eq!(g.to_bits(), e.to_bits());
@@ -106,8 +107,8 @@ proptest! {
         }
     }
 
-    /// Flat-mask cross-entropy equals the per-row-Vec form exactly
-    /// (loss and gradient).
+    /// The engine's flat-mask cross-entropy equals the row-by-row
+    /// reference with per-row masks exactly (loss and gradient).
     #[test]
     fn flat_mask_cross_entropy_matches_rows(
         seed in any::<u64>(),
@@ -133,10 +134,14 @@ proptest! {
             masks_flat.extend_from_slice(&m);
             masks_rows.push(m);
         }
-        let (loss_a, grad_a) = softmax_cross_entropy_masked(&logits, &targets, &masks_rows);
-        let (loss_b, grad_b) = softmax_cross_entropy_masked_flat(&logits, &targets, &masks_flat);
+        let row_masks: Vec<Option<&[bool]>> = masks_rows.iter().map(|m| Some(m.as_slice())).collect();
+        let (loss_a, grad_a) =
+            reference::softmax_cross_entropy_masked_rows(&logits, &targets, &row_masks);
+        let mut grad_b = vec![f64::NAN; rows * cols];
+        let loss_b = Loss::CrossEntropy { targets: &targets, masks: Some(&masks_flat) }
+            .eval(logits.data(), cols, &mut grad_b);
         prop_assert_eq!(loss_a.to_bits(), loss_b.to_bits());
-        for (a, b) in grad_a.data().iter().zip(grad_b.data()) {
+        for (a, b) in grad_a.data().iter().zip(&grad_b) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }

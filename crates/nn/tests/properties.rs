@@ -2,10 +2,7 @@
 //! correctness against finite differences, and lossless serialization for
 //! arbitrary shapes.
 
-use dt_nn::{
-    load_mlp, log_softmax_masked, mse_loss, save_mlp, softmax_cross_entropy, Activation, Matrix,
-    Mlp,
-};
+use dt_nn::{load_mlp, log_softmax_masked, save_mlp, Activation, Loss, Matrix, Mlp, TrainScratch};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -59,22 +56,21 @@ proptest! {
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         use rand::RngExt;
-        let data: Vec<f64> = (0..rows * cols).map(|_| rng.random::<f64>() * 4.0 - 2.0).collect();
-        let logits = Matrix::from_vec(rows, cols, data);
+        let logits: Vec<f64> = (0..rows * cols).map(|_| rng.random::<f64>() * 4.0 - 2.0).collect();
         let targets: Vec<usize> = (0..rows).map(|_| rng.random_range(0..cols)).collect();
-        let (_, grad) = softmax_cross_entropy(&logits, &targets);
+        let loss = Loss::CrossEntropy { targets: &targets, masks: None };
+        let mut grad = vec![0.0; rows * cols];
+        loss.eval(&logits, cols, &mut grad);
+        let mut scratch = vec![0.0; rows * cols];
         let eps = 1e-6;
-        for r in 0..rows {
-            for c in 0..cols {
-                let mut up = logits.clone();
-                up[(r, c)] += eps;
-                let mut dn = logits.clone();
-                dn[(r, c)] -= eps;
-                let fd = (softmax_cross_entropy(&up, &targets).0
-                    - softmax_cross_entropy(&dn, &targets).0)
-                    / (2.0 * eps);
-                prop_assert!((grad[(r, c)] - fd).abs() < 1e-5);
-            }
+        for i in 0..rows * cols {
+            let mut up = logits.clone();
+            up[i] += eps;
+            let mut dn = logits.clone();
+            dn[i] -= eps;
+            let fd = (loss.eval(&up, cols, &mut scratch) - loss.eval(&dn, cols, &mut scratch))
+                / (2.0 * eps);
+            prop_assert!((grad[i] - fd).abs() < 1e-5);
         }
     }
 
@@ -84,12 +80,9 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut mlp = Mlp::new(&[3, hidden, 2], Activation::Tanh, Activation::Identity, &mut rng);
         let x = Matrix::from_rows(&[&[0.2, -0.4, 0.6]]);
-        let y = Matrix::from_rows(&[&[0.5, -0.5]]);
-        let out = mlp.forward_train(&x);
-        let (_, grad) = mse_loss(&out, &y);
-        mlp.zero_grad();
-        mlp.backward(&grad);
-        let loss_of = |m: &Mlp| mse_loss(&m.forward(&x), &y).0;
+        let loss = Loss::Mse { targets: &[0.5, -0.5] };
+        mlp.backprop(x.data(), 1, &loss, &mut TrainScratch::new());
+        let loss_of = |m: &Mlp| loss.eval(m.forward(&x).data(), 2, &mut [0.0; 2]);
         let eps = 1e-6;
         // Check one weight per layer.
         for li in 0..mlp.layers().len() {

@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 
 use dt_lattice::{Configuration, NeighborTable, SiteId};
-use dt_nn::{softmax_cross_entropy_masked_flat, Adam, Matrix, Mlp};
+use dt_nn::{Adam, Loss, Mlp, TrainScratch};
 use dt_telemetry::{Phase, Telemetry};
 use rand::Rng;
 
@@ -92,22 +92,28 @@ impl Default for TrainerConfig {
 /// Trains a proposal network from buffered walker samples.
 ///
 /// Minibatch assembly is fully batched: every teacher-forced context row
-/// of a chunk goes into one feature matrix and the network runs one
-/// multi-row forward/backward per chunk. The per-row species masks are
-/// kept in a single flat reused buffer (no per-row `Vec<bool>`), and the
-/// decode bookkeeping buffers are reused across configurations.
+/// of a chunk goes into one flat feature buffer and the network runs one
+/// multi-row [`Mlp::train_step`] per chunk. Features, targets, the
+/// per-row species masks and the step's [`TrainScratch`] are all reused
+/// across chunks and epochs, as are the decode bookkeeping buffers, so a
+/// warmed epoch performs no heap allocation.
 #[derive(Debug)]
 pub struct ProposalTrainer {
     cfg: TrainerConfig,
     layout: FeatureLayout,
     adam: Adam,
     site_buf: Vec<SiteId>,
+    /// Flat `rows × dim` feature buffer, reused across chunks.
+    features: Vec<f64>,
+    /// Target species index per row, reused across chunks.
+    targets: Vec<usize>,
     /// Flat `rows × m` mask buffer, reused across chunks.
     mask_buf: Vec<bool>,
     /// Per-config decided flags, reused across configurations.
     decided_buf: Vec<bool>,
     /// Per-config multiset budget, reused across configurations.
     remaining_buf: Vec<usize>,
+    scratch: TrainScratch,
     tel: Telemetry,
 }
 
@@ -117,9 +123,12 @@ impl ProposalTrainer {
         let m = layout.num_species;
         ProposalTrainer {
             adam: Adam::with_lr(cfg.lr),
+            features: Vec::new(),
+            targets: Vec::new(),
             mask_buf: Vec::with_capacity(cfg.configs_per_batch * cfg.k * m),
             decided_buf: Vec::new(),
             remaining_buf: vec![0; m],
+            scratch: TrainScratch::new(),
             cfg,
             layout,
             site_buf: Vec::new(),
@@ -161,15 +170,18 @@ impl ProposalTrainer {
         let mut total_loss = 0.0;
         let mut total_rows = 0usize;
 
-        let configs: Vec<&Configuration> = buffer.iter().map(|(c, _)| c).collect();
-        for chunk in configs.chunks(self.cfg.configs_per_batch) {
-            let rows = chunk.len() * k.min(chunk[0].num_sites());
-            let mut features = Matrix::zeros(rows, dim);
-            let mut targets = Vec::with_capacity(rows);
+        let per_chunk = self.cfg.configs_per_batch;
+        for start in (0..buffer.len()).step_by(per_chunk) {
+            let chunk = buffer
+                .items
+                .range(start..(start + per_chunk).min(buffer.len()));
+            let rows = chunk.len() * k.min(buffer.items[start].0.num_sites());
+            self.features.resize(rows * dim, 0.0);
+            self.targets.clear();
             self.mask_buf.clear();
             let mut row = 0usize;
 
-            for config in chunk {
+            for (config, _) in chunk {
                 let n = config.num_sites();
                 let kk = k.min(n);
                 let mut sites = std::mem::take(&mut self.site_buf);
@@ -188,7 +200,7 @@ impl ProposalTrainer {
                 }
                 for (step, &site) in sites.iter().enumerate() {
                     self.layout.fill(
-                        features.row_mut(row),
+                        &mut self.features[row * dim..(row + 1) * dim],
                         site,
                         neighbors,
                         config.species(),
@@ -198,7 +210,7 @@ impl ProposalTrainer {
                         step as f64 / kk as f64,
                     );
                     let target = config.species_at(site);
-                    targets.push(target.index());
+                    self.targets.push(target.index());
                     self.mask_buf
                         .extend(self.remaining_buf.iter().map(|&r| r > 0));
                     self.remaining_buf[target.index()] -= 1;
@@ -210,13 +222,19 @@ impl ProposalTrainer {
             debug_assert_eq!(row, rows);
 
             // All rows were built upfront, so the whole chunk runs one
-            // multi-row forward (and one backward) — never row-by-row.
-            let out = net.forward_train(&features);
-            let (loss, grad) = softmax_cross_entropy_masked_flat(&out, &targets, &self.mask_buf);
-            net.zero_grad();
-            net.backward(&grad);
-            net.clip_grad_norm(self.cfg.grad_clip);
-            self.adam.step(net);
+            // multi-row training step — never row-by-row.
+            let objective = Loss::CrossEntropy {
+                targets: &self.targets,
+                masks: Some(&self.mask_buf),
+            };
+            let loss = net.train_step(
+                &self.features,
+                rows,
+                &objective,
+                self.cfg.grad_clip,
+                &mut self.adam,
+                &mut self.scratch,
+            );
 
             total_loss += loss * rows as f64;
             total_rows += rows;

@@ -1,30 +1,44 @@
-//! Asserts that warmed-up teacher-forced replay — the hot path on every
-//! deep-proposal Metropolis–Hastings step — performs **zero heap
-//! allocations**, using a counting global allocator.
+//! Asserts that the deep proposal's two hot paths perform **zero heap
+//! allocations** once warm, using a counting global allocator:
+//! teacher-forced replay, run on every deep-proposal Metropolis–Hastings
+//! step, and a trainer epoch, run every retraining round.
 //!
-//! This file must stay a single `#[test]`: the counter is process-global,
-//! and concurrent tests in the same binary would race it.
+//! Counting is armed per-thread, so the tests in this binary can run
+//! concurrently: each one counts only its own thread's allocations. The
+//! flag is a const-initialised `Cell` so arming it never allocates (a
+//! lazily initialised thread-local would recurse into the allocator).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use dt_lattice::{Composition, Configuration, SiteId, Species, Structure, Supercell};
+use dt_proposal::train::random_training_set;
 use dt_proposal::{
-    DeepProposal, DeepProposalConfig, ProposalContext, ProposalKernel, ProposedMove,
+    DeepProposal, DeepProposalConfig, ProposalContext, ProposalKernel, ProposalTrainer,
+    ProposedMove, TrainerConfig,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Count one allocation if the current thread has armed counting.
+/// `Cell`s have no destructor, so the allocator never observes a dead
+/// thread-local.
+fn count() {
+    if COUNTING.with(|c| c.get()) {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc(layout)
     }
 
@@ -33,9 +47,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,13 +55,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Count heap allocations performed by `f`.
+/// Count heap allocations performed by `f` on the calling thread.
 fn allocations_in(f: impl FnOnce()) -> usize {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCATIONS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
     f();
-    COUNTING.store(false, Ordering::SeqCst);
-    ALLOCATIONS.load(Ordering::SeqCst)
+    COUNTING.with(|c| c.set(false));
+    ALLOCATIONS.with(|n| n.get())
 }
 
 #[test]
@@ -104,4 +116,45 @@ fn warmed_replay_is_allocation_free() {
         std::hint::black_box(&v);
     });
     assert!(count >= 1, "counter should see an explicit allocation");
+}
+
+#[test]
+fn warmed_train_epoch_is_allocation_free() {
+    // The deep trainer's production shape: [15, 32, 32, 4] network,
+    // TrainerConfig defaults (k = 32, 8 configurations per chunk) and a
+    // full 256-configuration buffer.
+    let cell = Supercell::cubic(Structure::bcc(), 3);
+    let nt = cell.neighbor_table(2);
+    let comp = Composition::equiatomic(4, cell.num_sites()).unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(12);
+    let mut kern = DeepProposal::new(
+        4,
+        2,
+        &DeepProposalConfig {
+            k: 12,
+            hidden: vec![32, 32],
+        },
+        &mut rng,
+    );
+    let buffer = random_training_set(&comp, 256, &mut rng);
+    let mut trainer = ProposalTrainer::new(kern.layout(), TrainerConfig::default());
+
+    // Warm-up epoch: grows every reusable buffer and the Adam state.
+    let first = trainer
+        .train_epoch(kern.net_mut(), &buffer, &nt, &mut rng)
+        .unwrap();
+
+    let mut last = first;
+    let count = allocations_in(|| {
+        for _ in 0..3 {
+            last = trainer
+                .train_epoch(kern.net_mut(), &buffer, &nt, &mut rng)
+                .unwrap();
+        }
+    });
+    assert!(first.is_finite() && last.is_finite());
+    assert_eq!(
+        count, 0,
+        "a warmed train_epoch must not allocate, saw {count} allocations"
+    );
 }

@@ -2,7 +2,7 @@
 
 use dt_hamiltonian::{DeltaWorkspace, EnergyModel};
 use dt_lattice::{Configuration, NeighborTable, SiteId, Species};
-use dt_nn::{mse_loss, Activation, Adam, ForwardScratch, Matrix, Mlp, NnFormatError};
+use dt_nn::{Activation, Adam, ForwardScratch, Loss, Matrix, Mlp, NnFormatError, TrainScratch};
 use rand::Rng;
 
 use crate::dataset::Dataset;
@@ -156,15 +156,20 @@ impl SurrogateModel {
         dims.push(1);
         let mut net = Mlp::new(&dims, Activation::Tanh, Activation::Identity, rng);
         let mut adam = Adam::with_lr(opts.lr);
+        let mut scratch = TrainScratch::for_mlp(&net, train.len());
+        let loss = Loss::Mse {
+            targets: y_norm.data(),
+        };
         let mut final_loss = f64::INFINITY;
         for _ in 0..opts.epochs {
-            let out = net.forward_train(&train.x);
-            let (loss, grad) = mse_loss(&out, &y_norm);
-            net.zero_grad();
-            net.backward(&grad);
-            net.clip_grad_norm(10.0);
-            adam.step(&mut net);
-            final_loss = loss;
+            final_loss = net.train_step(
+                train.x.data(),
+                train.len(),
+                &loss,
+                10.0,
+                &mut adam,
+                &mut scratch,
+            );
         }
 
         let model = SurrogateModel {
